@@ -11,7 +11,9 @@
 package buddy
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/mem"
 	"repro/internal/metrics"
@@ -50,6 +52,20 @@ type listNode struct {
 	prev, next mem.Frame
 }
 
+// ErrNoMemory is returned by Alloc (and AllocFrame, AllocRun) when no
+// free block is large enough. It is a preallocated sentinel, not a
+// formatted error, because callers such as the vm's slow-pool first try
+// probe for memory and expect to fail; callers that report the failure
+// wrap it with %w so errors.Is still finds it.
+var ErrNoMemory = errors.New("buddy: out of memory")
+
+// orderBits is the width of the order field in CheckInvariants' packed
+// blocks; maxSize keeps the frame offset above it from overflowing.
+const (
+	orderBits = 6
+	maxSize   = uint64(1) << (64 - orderBits)
+)
+
 // noFrame marks list ends; it is an impossible frame number.
 const noFrame = mem.Frame(^uint64(0))
 
@@ -58,6 +74,9 @@ const noFrame = mem.Frame(^uint64(0))
 func New(clock *sim.Clock, params *sim.Params, base mem.Frame, size uint64) (*Allocator, error) {
 	if size == 0 {
 		return nil, fmt.Errorf("buddy: empty range")
+	}
+	if size > maxSize {
+		return nil, fmt.Errorf("buddy: %d frames exceed the %d-frame maximum", size, maxSize)
 	}
 	a := &Allocator{
 		clock:     clock,
@@ -170,7 +189,7 @@ func (a *Allocator) charge(ops int) {
 
 // Alloc allocates one naturally aligned block of the given order and
 // returns its first frame. It returns an error if no memory of that
-// size (or larger, to split) is free.
+// size (or larger, to split) is free; that error is ErrNoMemory.
 func (a *Allocator) Alloc(order int) (mem.Frame, error) {
 	if order < 0 || order > MaxOrder {
 		return 0, fmt.Errorf("buddy: invalid order %d", order)
@@ -180,7 +199,7 @@ func (a *Allocator) Alloc(order int) (mem.Frame, error) {
 		o++
 	}
 	if o > MaxOrder {
-		return 0, fmt.Errorf("buddy: out of memory for order-%d block (%d frames free)", order, a.freeCount)
+		return 0, ErrNoMemory
 	}
 	f := a.heads[o]
 	a.removeFree(f)
@@ -422,19 +441,27 @@ func (a *Allocator) VisitAllocated(fn func(start mem.Frame, count uint64)) {
 // CheckInvariants validates internal consistency: free and allocated
 // accounting must exactly tile the managed range with no overlap. It is
 // exercised by tests and failure-injection harnesses.
+//
+// The audit is O(B log B) in the number of blocks B, independent of the
+// managed size: it range-checks every free-list and allocated block,
+// sorts them by start, and checks that they tile [base, base+size) end
+// to end. It charges no simulated time.
 func (a *Allocator) CheckInvariants() error {
-	covered := make(map[mem.Frame]bool, a.size)
-	mark := func(f mem.Frame, o int, what string) error {
-		for i := uint64(0); i < uint64(1)<<o; i++ {
-			fr := f + mem.Frame(i)
-			if !a.inRange(fr, 0) {
-				return fmt.Errorf("buddy: %s block [%d, order %d] leaves managed range", what, f, o)
-			}
-			if covered[fr] {
-				return fmt.Errorf("buddy: frame %d covered twice (%s block at %d order %d)", fr, what, f, o)
-			}
-			covered[fr] = true
+	// A block is recorded as its offset from base shifted left by
+	// orderBits, with its order in the low bits, so sorting plain
+	// integers sorts blocks by start. Only in-range blocks are recorded:
+	// their offsets are below size, which New caps at maxSize.
+	blocks := make([]uint64, 0, len(a.nodes)+len(a.allocated))
+	record := func(f mem.Frame, o int, what string) error {
+		n := uint64(1) << o
+		if n == 0 {
+			return nil // a shift past 63 bits covers no frame
 		}
+		off := uint64(f - a.base)
+		if f < a.base || off > a.size || n > a.size-off {
+			return fmt.Errorf("buddy: %s block [%d, order %d] leaves managed range", what, f, o)
+		}
+		blocks = append(blocks, off<<orderBits|uint64(o))
 		return nil
 	}
 	var freeSeen uint64
@@ -443,22 +470,37 @@ func (a *Allocator) CheckInvariants() error {
 			if got := a.order[f]; got != o {
 				return fmt.Errorf("buddy: free block %d on list %d but order map says %d", f, o, got)
 			}
-			if err := mark(f, o, "free"); err != nil {
+			if err := record(f, o, "free"); err != nil {
 				return err
 			}
 			freeSeen += uint64(1) << o
+			// More free frames than managed ones means some block is
+			// listed twice (a cycle); stop before walking it forever.
+			if freeSeen > a.size {
+				return fmt.Errorf("buddy: free lists hold more than the %d managed frames", a.size)
+			}
 		}
 	}
 	if freeSeen != a.freeCount {
 		return fmt.Errorf("buddy: free count %d but lists hold %d frames", a.freeCount, freeSeen)
 	}
 	for f, o := range a.allocated {
-		if err := mark(f, o, "allocated"); err != nil {
+		if err := record(f, o, "allocated"); err != nil {
 			return err
 		}
 	}
-	if uint64(len(covered)) != a.size {
-		return fmt.Errorf("buddy: %d frames accounted, managed %d", len(covered), a.size)
+	slices.Sort(blocks)
+	var end, covered uint64 // offset past the blocks so far; their frames
+	for _, b := range blocks {
+		off, o := b>>orderBits, int(b&(1<<orderBits-1))
+		if off < end {
+			return fmt.Errorf("buddy: block at frame %d order %d overlaps the block before it", a.base+mem.Frame(off), o)
+		}
+		end = off + uint64(1)<<o
+		covered += uint64(1) << o
+	}
+	if covered != a.size {
+		return fmt.Errorf("buddy: %d frames accounted, managed %d", covered, a.size)
 	}
 	return nil
 }

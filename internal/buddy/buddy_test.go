@@ -1,6 +1,8 @@
 package buddy
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -96,6 +98,25 @@ func TestAllocFreeCoalescesFully(t *testing.T) {
 	}
 	if err := a.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOutOfMemoryIsSentinel: exhaustion is reported as ErrNoMemory by
+// every allocation entry point, and a failed probe allocates nothing on
+// the host (vm's slow-pool first try fails this way routinely).
+func TestOutOfMemoryIsSentinel(t *testing.T) {
+	a, _ := newAlloc(t, 0, 64)
+	if _, err := a.AllocRun(64); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.AllocFrame(); !errors.Is(err, ErrNoMemory) {
+		t.Fatalf("AllocFrame on a full allocator: %v", err)
+	}
+	if _, err := a.AllocRun(3); !errors.Is(err, ErrNoMemory) {
+		t.Fatalf("AllocRun on a full allocator: %v", err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = a.AllocFrame() }); n != 0 {
+		t.Fatalf("failed AllocFrame allocates %.1f objects, want 0", n)
 	}
 }
 
@@ -313,6 +334,10 @@ func TestAllocFreeQuickProperty(t *testing.T) {
 				live[i] = live[len(live)-1]
 				live = live[:len(live)-1]
 			}
+			if got, ref := a.CheckInvariants(), referenceCheck(a); got != nil || ref != nil {
+				t.Logf("step %d: CheckInvariants = %v, reference = %v", step, got, ref)
+				return false
+			}
 		}
 		for _, r := range live {
 			if err := a.FreeRun(r); err != nil {
@@ -430,4 +455,152 @@ func TestFreeRangeQuickProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// referenceCheck is the per-frame form of the tiling audit: it marks
+// every frame of every block in a frame-indexed map, so it costs
+// O(managed frames). It is the test oracle for the block-grain
+// CheckInvariants.
+func referenceCheck(a *Allocator) error {
+	covered := make(map[mem.Frame]bool, a.size)
+	mark := func(f mem.Frame, o int, what string) error {
+		for i := uint64(0); i < uint64(1)<<o; i++ {
+			fr := f + mem.Frame(i)
+			if !a.inRange(fr, 0) {
+				return fmt.Errorf("%s block [%d, order %d] leaves managed range", what, f, o)
+			}
+			if covered[fr] {
+				return fmt.Errorf("frame %d covered twice (%s block at %d order %d)", fr, what, f, o)
+			}
+			covered[fr] = true
+		}
+		return nil
+	}
+	var freeSeen uint64
+	for o := 0; o <= MaxOrder; o++ {
+		for f := a.heads[o]; f != noFrame; f = a.nodes[f].next {
+			if got := a.order[f]; got != o {
+				return fmt.Errorf("free block %d on list %d but order map says %d", f, o, got)
+			}
+			if err := mark(f, o, "free"); err != nil {
+				return err
+			}
+			freeSeen += uint64(1) << o
+		}
+	}
+	if freeSeen != a.freeCount {
+		return fmt.Errorf("free count %d but lists hold %d frames", a.freeCount, freeSeen)
+	}
+	for f, o := range a.allocated {
+		if err := mark(f, o, "allocated"); err != nil {
+			return err
+		}
+	}
+	if uint64(len(covered)) != a.size {
+		return fmt.Errorf("%d frames accounted, managed %d", len(covered), a.size)
+	}
+	return nil
+}
+
+// agree fails the test unless CheckInvariants and referenceCheck return
+// the same verdict (both nil or both non-nil) and, when wantErr is set,
+// that verdict is a rejection.
+func agree(t *testing.T, a *Allocator, what string, wantErr bool) {
+	t.Helper()
+	got, ref := a.CheckInvariants(), referenceCheck(a)
+	if (got == nil) != (ref == nil) {
+		t.Fatalf("%s: CheckInvariants = %v, reference = %v", what, got, ref)
+	}
+	if wantErr && got == nil {
+		t.Fatalf("%s: corruption not rejected", what)
+	}
+}
+
+// TestCheckInvariantsMatchesReference plants one corruption per case
+// into a fragmented allocator and requires the block-grain audit to
+// reject it, as the per-frame reference does.
+func TestCheckInvariantsMatchesReference(t *testing.T) {
+	setup := func(t *testing.T) (*Allocator, []Run) {
+		a, _ := newAlloc(t, 64, 1000)
+		var runs []Run
+		for _, n := range []uint64{3, 17, 1, 64, 5, 9} {
+			r, err := a.AllocRun(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs = append(runs, r)
+		}
+		if err := a.FreeRun(runs[1]); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.CheckInvariants(); err != nil {
+			t.Fatalf("clean allocator rejected: %v", err)
+		}
+		agree(t, a, "clean", false)
+		return a, runs
+	}
+	// firstFree returns a free block and its order.
+	firstFree := func(a *Allocator) (mem.Frame, int) {
+		for o := 0; o <= MaxOrder; o++ {
+			if a.heads[o] != noFrame {
+				return a.heads[o], o
+			}
+		}
+		t.Fatal("no free block")
+		return 0, 0
+	}
+	cases := []struct {
+		name    string
+		corrupt func(a *Allocator, runs []Run)
+	}{
+		{"free block overlaps allocated block", func(a *Allocator, runs []Run) {
+			f, _ := firstFree(a)
+			a.allocated[f] = 0
+		}},
+		{"dropped allocated entry leaves a gap", func(a *Allocator, runs []Run) {
+			delete(a.allocated, runs[3].Start)
+		}},
+		{"allocated block past the end of the range", func(a *Allocator, runs []Run) {
+			a.allocated[a.base+mem.Frame(a.size)] = 0
+		}},
+		{"allocated block straddles the end of the range", func(a *Allocator, runs []Run) {
+			a.allocated[a.base+mem.Frame(a.size)-1] = 1
+		}},
+		{"allocated block below the base", func(a *Allocator, runs []Run) {
+			a.allocated[a.base-1] = 0
+		}},
+		{"wrong order entry", func(a *Allocator, runs []Run) {
+			f, o := firstFree(a)
+			a.order[f] = o + 1
+		}},
+		{"skewed free count", func(a *Allocator, runs []Run) {
+			a.freeCount++
+		}},
+		{"free list cycle", func(a *Allocator, runs []Run) {
+			f, _ := firstFree(a)
+			n := a.nodes[f]
+			n.next = f
+			a.nodes[f] = n
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			a, runs := setup(t)
+			c.corrupt(a, runs)
+			agree(t, a, c.name, true)
+		})
+	}
+	// A block straddling the end of the range while a gap elsewhere
+	// keeps the covered total at size: only the range check sees it.
+	t.Run("straddle hidden by a gap", func(t *testing.T) {
+		a, _ := newAlloc(t, 0, 3)
+		for i := 0; i < 3; i++ {
+			if _, err := a.AllocFrame(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		delete(a.allocated, 1) // frame 1 becomes a gap
+		a.allocated[2] = 1     // frames 2 and 3; frame 3 is past the end
+		agree(t, a, "straddle hidden by a gap", true)
+	})
 }

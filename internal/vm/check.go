@@ -1,7 +1,9 @@
 package vm
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/buddy"
 	"repro/internal/mem"
@@ -54,6 +56,9 @@ func (k *Kernel) CheckInvariants() error {
 		return err
 	}
 
+	// Sorted once, for every pool's no-free-but-tracked merge below.
+	tracked := k.trackedFrames()
+
 	// Reverse direction, per metadata domain: every rmap entry points
 	// at a live address space whose page table maps that va back to
 	// this frame, and the per-frame counts agree with the forward walk.
@@ -97,19 +102,7 @@ func (k *Kernel) CheckInvariants() error {
 		if err := pool.CheckInvariants(); err != nil {
 			return fmt.Errorf("vm: %s pool: %w", label, err)
 		}
-		var freeErr error
-		pool.VisitFree(func(start mem.Frame, count uint64) {
-			if freeErr != nil {
-				return
-			}
-			for i := uint64(0); i < count; i++ {
-				if _, tracked := k.page(start + mem.Frame(i)); tracked {
-					freeErr = fmt.Errorf("vm: frame %d is on the %s buddy free list but still tracked", start+mem.Frame(i), label)
-					return
-				}
-			}
-		})
-		return freeErr
+		return checkFreeUntracked(pool, label, tracked)
 	})
 	if err != nil {
 		return err
@@ -122,20 +115,8 @@ func (k *Kernel) CheckInvariants() error {
 		if err := k.slowPool.CheckInvariants(); err != nil {
 			return fmt.Errorf("vm: slow pool: %w", err)
 		}
-		var freeErr error
-		k.slowPool.VisitFree(func(start mem.Frame, count uint64) {
-			if freeErr != nil {
-				return
-			}
-			for i := uint64(0); i < count; i++ {
-				if _, tracked := k.page(start + mem.Frame(i)); tracked {
-					freeErr = fmt.Errorf("vm: frame %d is on the slow-pool free list but still tracked", start+mem.Frame(i))
-					return
-				}
-			}
-		})
-		if freeErr != nil {
-			return freeErr
+		if err := checkFreeUntracked(k.slowPool, "slow", tracked); err != nil {
+			return err
 		}
 	}
 
@@ -191,6 +172,46 @@ func (k *Kernel) CheckInvariants() error {
 		}
 		return nil
 	})
+}
+
+// trackedFrames returns, in ascending order, every frame with live
+// metadata as k.page sees it: a frame filed in a domain that does not
+// own it is not tracked.
+func (k *Kernel) trackedFrames() []mem.Frame {
+	var out []mem.Frame
+	_ = k.domains(func(_ string, d *metaDomain, _ *buddy.Allocator) error { // never fails
+		for f := range d.pages {
+			if k.domainOf(f) == d {
+				out = append(out, f)
+			}
+		}
+		return nil
+	})
+	slices.Sort(out)
+	return out
+}
+
+// checkFreeUntracked is the no-free-but-tracked rule for one pool: no
+// free block may cover a frame in tracked (sorted ascending), since a
+// tracked frame on a free list is a use-after-free. It merges the
+// pool's free blocks, sorted by start, with tracked: O(B log B + P)
+// for B free blocks and P tracked frames, not O(free frames).
+func checkFreeUntracked(pool *buddy.Allocator, label string, tracked []mem.Frame) error {
+	var free []buddy.Run
+	pool.VisitFree(func(start mem.Frame, count uint64) {
+		free = append(free, buddy.Run{Start: start, Count: count})
+	})
+	slices.SortFunc(free, func(x, y buddy.Run) int { return cmp.Compare(x.Start, y.Start) })
+	i := 0
+	for _, r := range free {
+		for i < len(tracked) && tracked[i] < r.Start {
+			i++
+		}
+		if i < len(tracked) && tracked[i] < r.End() {
+			return fmt.Errorf("vm: frame %d is on the %s pool free list but still tracked", tracked[i], label)
+		}
+	}
+	return nil
 }
 
 func rmapContains(pi *PageInfo, as *AddressSpace, va mem.VirtAddr) bool {

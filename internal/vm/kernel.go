@@ -292,7 +292,7 @@ func (k *Kernel) allocAnonFrame(cur *sim.CPU, ar *Arena) (mem.Frame, error) {
 	if err != nil {
 		// Last resort: hard reclaim then retry once.
 		if _, rerr := k.ReclaimPages(cur, 1); rerr != nil {
-			return 0, fmt.Errorf("vm: out of memory: %v (reclaim: %v)", err, rerr)
+			return 0, fmt.Errorf("vm: out of memory: %w (reclaim: %v)", err, rerr)
 		}
 		f, err = k.pool.AllocFrame()
 		if err != nil {

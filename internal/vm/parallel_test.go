@@ -1,9 +1,11 @@
 package vm
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"repro/internal/buddy"
 	"repro/internal/mem"
 	"repro/internal/pagetable"
 	"repro/internal/sim"
@@ -163,7 +165,7 @@ func TestArenaExhaustionIsHardError(t *testing.T) {
 	if err == nil {
 		t.Fatal("overcommitted arena populate succeeded")
 	}
-	if !strings.Contains(err.Error(), "arena out of memory") {
+	if !strings.Contains(err.Error(), "arena out of memory") || !errors.Is(err, buddy.ErrNoMemory) {
 		t.Fatalf("unexpected error: %v", err)
 	}
 	if got := kernel.Stats().Value("reclaimed_pages"); got != 0 {
